@@ -3,13 +3,21 @@
 //! [`DnnIp`] is the only surface the paper's IP user ever sees: feed an input,
 //! read the output logits. No parameter access, no intermediate activations.
 //!
-//! * [`FloatIp`] runs the float network directly — the vendor's golden reference.
+//! * [`FloatIp`] runs the float network on a [`BatchGradientEngine`] — the
+//!   vendor's golden reference.
 //! * [`AcceleratorIp`] holds the network *architecture* plus a quantized
 //!   [`WeightMemory`]; every inference reconstitutes the parameters from that
 //!   memory, so whatever an attacker does to the memory is what the user observes.
+//!
+//! Both run the engine's batched forward pass. On dense models its logits are
+//! bit-identical to the per-sample reference `Network` executor; on conv
+//! models they agree to about 1e-6 of the largest logit, because the engine
+//! adds the bias after the im2col product and multiplies padded taps in
+//! (`tests/engine_ip_equivalence.rs` pins a 1e-5 bound and equal argmax).
 
+use dnnip_nn::batch::BatchGradientEngine;
 use dnnip_nn::Network;
-use dnnip_tensor::Tensor;
+use dnnip_tensor::{ops, Tensor};
 
 use crate::memory::WeightMemory;
 use crate::quant::BitWidth;
@@ -21,13 +29,28 @@ use crate::{AccelError, Result};
 /// same output for an unmodified IP, which is what makes golden-output
 /// comparison a sound validation mechanism.
 pub trait DnnIp {
-    /// Run inference on a single sample (shape = [`DnnIp::input_shape`]) and
-    /// return the output logits (length = [`DnnIp::num_classes`]).
+    /// Run inference on several samples (each of shape
+    /// [`DnnIp::input_shape`]) and return one logits tensor (length =
+    /// [`DnnIp::num_classes`]) per input.
+    ///
+    /// A sample's output never depends on which other samples share the
+    /// batch, so batching is purely a throughput choice.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when any sample shape does not match the IP's input.
+    fn infer_batch(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>>;
+
+    /// Run inference on a single sample: [`DnnIp::infer_batch`] on a batch of
+    /// one.
     ///
     /// # Errors
     ///
     /// Returns an error when the sample shape does not match the IP's input.
-    fn infer(&self, input: &Tensor) -> Result<Tensor>;
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
+        let mut outputs = self.infer_batch(std::slice::from_ref(input))?;
+        Ok(outputs.pop().expect("one input yields one output"))
+    }
 
     /// Shape of a single input sample.
     fn input_shape(&self) -> &[usize];
@@ -45,35 +68,47 @@ pub trait DnnIp {
     }
 }
 
-/// Golden reference IP: runs the float network directly.
+/// Logits of `inputs` from one batched forward pass of `engine`, one rank-1
+/// tensor per input.
+fn engine_logits(engine: &BatchGradientEngine, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
+    if inputs.is_empty() {
+        return Ok(Vec::new());
+    }
+    Ok(ops::unstack(engine.forward_batch(inputs)?.output())?)
+}
+
+/// Golden reference IP: the float network on a batched engine built once at
+/// construction.
 #[derive(Debug, Clone)]
 pub struct FloatIp {
-    network: Network,
+    engine: BatchGradientEngine,
 }
 
 impl FloatIp {
     /// Wrap a float network as a black-box IP.
     pub fn new(network: Network) -> Self {
-        Self { network }
+        Self {
+            engine: BatchGradientEngine::new(network),
+        }
     }
 
     /// Borrow the wrapped network (vendor-side only; the IP user never gets this).
     pub fn network(&self) -> &Network {
-        &self.network
+        self.engine.network()
     }
 }
 
 impl DnnIp for FloatIp {
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        Ok(self.network.forward_sample(input)?)
+    fn infer_batch(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
+        engine_logits(&self.engine, inputs)
     }
 
     fn input_shape(&self) -> &[usize] {
-        self.network.input_shape()
+        self.network().input_shape()
     }
 
     fn num_classes(&self) -> usize {
-        self.network.num_classes()
+        self.network().num_classes()
     }
 }
 
@@ -145,9 +180,11 @@ impl AcceleratorIp {
 }
 
 impl DnnIp for AcceleratorIp {
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        let net = self.effective_network()?;
-        Ok(net.forward_sample(input)?)
+    /// Dequantizes the current memory contents once per call, so a write
+    /// through [`AcceleratorIp::memory_mut`] is visible to the next inference.
+    fn infer_batch(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
+        let engine = BatchGradientEngine::new(self.effective_network()?);
+        engine_logits(&engine, inputs)
     }
 
     fn input_shape(&self) -> &[usize] {

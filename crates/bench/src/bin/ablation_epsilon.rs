@@ -5,7 +5,8 @@
 //! For the Tanh MNIST model, sweeps the relative threshold and reports (a) the
 //! mean per-image coverage of the three Fig.-2 image families and (b) whether
 //! the paper's ordering (training > OOD > noise) holds at that threshold. This
-//! justifies the `RelativeToMax(1e-2)` default recorded in DESIGN.md.
+//! is the evidence behind the `RelativeToMax(1e-2)` threshold that
+//! `coverage_config_for` gives saturating models in every experiment binary.
 //!
 //! ```text
 //! cargo run --release -p dnnip-bench --bin ablation_epsilon [smoke|default|paper]

@@ -38,7 +38,7 @@ use dnnip_faults::attacks::Attack;
 use dnnip_faults::detection::{self, DetectionConfig, DetectionReport};
 use dnnip_nn::fingerprint::NetworkFingerprint;
 use dnnip_nn::Network;
-use dnnip_tensor::Tensor;
+use dnnip_tensor::{ops, Tensor};
 
 use crate::bitset::Bitset;
 use crate::combined::{self, CombinedConfig, CombinedResult};
@@ -1169,22 +1169,32 @@ impl Evaluator {
     /// Golden forward outputs for `samples` (vendor-side suite construction),
     /// cached by (network fingerprint, sample content hash).
     ///
-    /// Outputs are computed per sample through [`Network::forward_sample`] —
-    /// exactly what [`crate::protocol::FunctionalTestSuite::from_network`]
-    /// computes — fanned out over the evaluator's execution policy, so cached,
-    /// fresh, serial and threaded golden outputs are bit-identical. Repeated
-    /// suite construction over overlapping test prefixes replays no inference.
+    /// Outputs come from the evaluator's batched engine, one forward pass per
+    /// [`CoverageConfig::batch_size`] chunk of cache misses, with chunks fanned
+    /// out over the evaluator's execution policy. A sample's logits do not
+    /// depend on which samples share its chunk, so cached, fresh, serial and
+    /// threaded golden outputs are bit-identical to each other and to
+    /// [`crate::protocol::FunctionalTestSuite::from_network`]. Repeated suite
+    /// construction over overlapping test prefixes replays no inference.
     ///
     /// # Errors
     ///
     /// Returns an error when any sample shape does not match the network input.
     pub fn forward_outputs(&self, samples: &[Tensor]) -> Result<Vec<Tensor>> {
-        let infer = |misses: &[Tensor]| {
-            crate::par::try_map(
-                self.inner.analyzer.config().exec,
-                misses,
-                |x| -> Result<Tensor> { Ok(self.network().forward_sample(x)?) },
-            )
+        let analyzer = &self.inner.analyzer;
+        let infer = |misses: &[Tensor]| -> Result<Vec<Tensor>> {
+            let chunks: Vec<&[Tensor]> =
+                misses.chunks(analyzer.config().batch_size.max(1)).collect();
+            let per_chunk = crate::par::try_map(
+                analyzer.config().exec,
+                &chunks,
+                |chunk| -> Result<Vec<Tensor>> {
+                    Ok(ops::unstack(
+                        analyzer.engine().forward_batch(chunk)?.output(),
+                    )?)
+                },
+            )?;
+            Ok(per_chunk.into_iter().flatten().collect())
         };
         if self.inner.output_cache.max_bytes == 0 {
             return infer(samples);

@@ -22,7 +22,7 @@
 //! rising curve of Fig. 3 the rounds must differ, so this implementation seeds
 //! each round after the first with a small random initialization (configurable
 //! via [`GradGenConfig::init_noise`]); round 0 uses the paper's all-zero start.
-//! The deviation is recorded in DESIGN.md.
+//! This is the implementation's one deviation from Algorithm 2 as written.
 
 use std::sync::Arc;
 

@@ -9,14 +9,15 @@
 //! [`FunctionalTestSuite`] is the `(X, Y)` package; [`FunctionalTestSuite::validate`]
 //! is the user-side check. It only needs a `&dyn DnnIp`, so the user code cannot
 //! accidentally depend on model internals. The suite serializes to a
-//! self-contained byte format so it can be shipped next to the IP (the paper
-//! additionally encrypts the package; key management is outside the scope of this
-//! reproduction and noted in DESIGN.md).
+//! self-contained byte format so it can be shipped next to the IP. The paper
+//! additionally encrypts the package; this reproduction ships it in the clear,
+//! because key management does not change which tampering the tests expose.
 
 use dnnip_accel::ip::DnnIp;
 use dnnip_faults::detection::MatchPolicy;
+use dnnip_nn::batch::BatchGradientEngine;
 use dnnip_nn::Network;
-use dnnip_tensor::Tensor;
+use dnnip_tensor::{ops, Tensor};
 
 use crate::eval::Evaluator;
 use crate::{CoreError, Result};
@@ -47,7 +48,9 @@ pub struct ValidationOutcome {
 }
 
 impl FunctionalTestSuite {
-    /// Vendor side: compute golden outputs for `inputs` on the trusted `network`.
+    /// Vendor side: compute golden outputs for `inputs` on the trusted `network`,
+    /// in one batched engine pass — the outputs a [`dnnip_accel::ip::FloatIp`]
+    /// of `network` reports.
     ///
     /// # Errors
     ///
@@ -63,10 +66,8 @@ impl FunctionalTestSuite {
                 reason: "a functional-test suite needs at least one test".to_string(),
             });
         }
-        let golden_outputs = inputs
-            .iter()
-            .map(|x| Ok(network.forward_sample(x)?))
-            .collect::<Result<Vec<_>>>()?;
+        let pass = BatchGradientEngine::new(network.clone()).forward_batch(&inputs)?;
+        let golden_outputs = ops::unstack(pass.output())?;
         Ok(Self {
             inputs,
             golden_outputs,
@@ -146,13 +147,15 @@ impl FunctionalTestSuite {
     /// Returns an error if the IP rejects a test input (wrong shape) — a sign the
     /// delivered IP does not even match the advertised interface.
     pub fn validate(&self, ip: &dyn DnnIp) -> Result<ValidationOutcome> {
+        let observed = ip
+            .infer_batch(&self.inputs)
+            .map_err(|e| CoreError::InvalidSuite {
+                reason: format!("IP rejected the functional tests: {e}"),
+            })?;
         let mut first_failure = None;
         let mut num_mismatches = 0usize;
-        for (i, (input, golden)) in self.inputs.iter().zip(&self.golden_outputs).enumerate() {
-            let observed = ip.infer(input).map_err(|e| CoreError::InvalidSuite {
-                reason: format!("IP rejected functional test {i}: {e}"),
-            })?;
-            if !self.policy.matches(golden, &observed) {
+        for (i, (observed, golden)) in observed.iter().zip(&self.golden_outputs).enumerate() {
+            if !self.policy.matches(golden, observed) {
                 num_mismatches += 1;
                 if first_failure.is_none() {
                     first_failure = Some(i);

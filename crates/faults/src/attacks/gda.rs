@@ -5,6 +5,7 @@
 //! is pushed towards a wrong class while each individual parameter moves only a
 //! little (stealthiness).
 
+use dnnip_nn::batch::BatchGradientEngine;
 use dnnip_nn::loss::cross_entropy;
 use dnnip_nn::Network;
 use dnnip_tensor::Tensor;
@@ -40,6 +41,15 @@ impl Default for GradientDescentAttack {
     }
 }
 
+/// An engine over the current parameters of `net` and its `[1, classes]`
+/// logits on `probe`: each GDA step runs one batched forward here and one
+/// inside the engine's parameter-gradient pass.
+fn observe(net: &Network, probe: &[Tensor]) -> Result<(BatchGradientEngine, Tensor)> {
+    let engine = BatchGradientEngine::new(net.clone());
+    let output = engine.forward_batch(probe)?.output().clone();
+    Ok((engine, output))
+}
+
 impl Attack for GradientDescentAttack {
     fn name(&self) -> &'static str {
         "gda"
@@ -59,58 +69,61 @@ impl Attack for GradientDescentAttack {
                 reason: "GDA needs at least one step and one parameter".to_string(),
             });
         }
-        let probe = &probes[rng.gen_range(0..probes.len())];
+        let probe = std::slice::from_ref(&probes[rng.gen_range(0..probes.len())]);
         let classes = network.num_classes();
-        let current = network.predict_sample(probe)?;
+        let (mut engine, mut output) = observe(network, probe)?;
+        let current = output.argmax()?;
         // Push the probe towards a random *wrong* class.
         let offset = rng.gen_range(1..classes.max(2));
         let target = (current + offset) % classes;
 
         let original = network.parameters_flat();
         let mut tampered = network.clone();
+        let mut params = original.clone();
         let mut victim_indices: Option<Vec<usize>> = None;
 
-        for _ in 0..self.steps {
-            let batch = tampered.batch_one(probe)?;
-            let pass = tampered.forward_cached(&batch)?;
-            let loss = cross_entropy(&pass.output, &[target])?;
-            let grads = tampered.backward(&pass, &loss.grad_logits)?;
+        for step in 0..self.steps {
+            if step > 0 {
+                (engine, output) = observe(&tampered, probe)?;
+                if output.argmax()? == target {
+                    break;
+                }
+            }
+            let loss = cross_entropy(&output, &[target])?;
+            let grads = engine
+                .parameter_gradients_batch(probe, loss.grad_logits.data())?
+                .pop()
+                .expect("one probe yields one gradient");
 
             // Select the victim parameters once, on the first step.
             let indices = victim_indices.get_or_insert_with(|| {
-                let mut order: Vec<usize> = (0..grads.param_grads.len()).collect();
+                let mut order: Vec<usize> = (0..grads.len()).collect();
                 order.sort_by(|&a, &b| {
-                    grads.param_grads[b]
+                    grads[b]
                         .abs()
-                        .partial_cmp(&grads.param_grads[a].abs())
+                        .partial_cmp(&grads[a].abs())
                         .unwrap_or(std::cmp::Ordering::Equal)
                 });
                 order.truncate(self.num_params);
                 order
             });
 
-            let mut params = tampered.parameters_flat();
             for &i in indices.iter() {
-                let proposed = params[i] - self.step_size * grads.param_grads[i];
+                let proposed = params[i] - self.step_size * grads[i];
                 // Clamp to the stealthiness budget around the original value.
                 params[i] =
                     proposed.clamp(original[i] - self.max_change, original[i] + self.max_change);
             }
             tampered.set_parameters_flat(&params)?;
-
-            if tampered.predict_sample(probe)? == target {
-                break;
-            }
         }
 
-        let final_params = tampered.parameters_flat();
         let edits: Vec<ParamEdit> = victim_indices
             .unwrap_or_default()
             .into_iter()
-            .filter(|&i| (final_params[i] - original[i]).abs() > 0.0)
+            .filter(|&i| (params[i] - original[i]).abs() > 0.0)
             .map(|i| ParamEdit {
                 index: i,
-                new_value: final_params[i],
+                new_value: params[i],
             })
             .collect();
         if edits.is_empty() {
@@ -140,6 +153,84 @@ mod tests {
         (0..n)
             .map(|i| Tensor::from_fn(&[dim], |j| ((i * dim + j) as f32 * 0.23).cos()))
             .collect()
+    }
+
+    /// The attack's step loop written against the per-sample reference
+    /// executor (cached forward, backward, per-sample prediction).
+    fn reference_generate(
+        attack: &GradientDescentAttack,
+        network: &Network,
+        probes: &[Tensor],
+        rng: &mut StdRng,
+    ) -> Vec<ParamEdit> {
+        let probe = &probes[rng.gen_range(0..probes.len())];
+        let classes = network.num_classes();
+        let current = network.predict_sample(probe).unwrap();
+        let target = (current + rng.gen_range(1..classes.max(2))) % classes;
+        let original = network.parameters_flat();
+        let mut tampered = network.clone();
+        let mut victims: Option<Vec<usize>> = None;
+        for _ in 0..attack.steps {
+            let pass = tampered
+                .forward_cached(&tampered.batch_one(probe).unwrap())
+                .unwrap();
+            let loss = cross_entropy(&pass.output, &[target]).unwrap();
+            let grads = tampered
+                .backward(&pass, &loss.grad_logits)
+                .unwrap()
+                .param_grads;
+            let indices = victims.get_or_insert_with(|| {
+                let mut order: Vec<usize> = (0..grads.len()).collect();
+                order.sort_by(|&a, &b| grads[b].abs().partial_cmp(&grads[a].abs()).unwrap());
+                order.truncate(attack.num_params);
+                order
+            });
+            let mut params = tampered.parameters_flat();
+            for &i in indices.iter() {
+                params[i] = (params[i] - attack.step_size * grads[i]).clamp(
+                    original[i] - attack.max_change,
+                    original[i] + attack.max_change,
+                );
+            }
+            tampered.set_parameters_flat(&params).unwrap();
+            if tampered.predict_sample(probe).unwrap() == target {
+                break;
+            }
+        }
+        let last = tampered.parameters_flat();
+        victims
+            .unwrap_or_default()
+            .into_iter()
+            .filter(|&i| last[i] != original[i])
+            .map(|i| ParamEdit {
+                index: i,
+                new_value: last[i],
+            })
+            .collect()
+    }
+
+    #[test]
+    fn engine_steps_match_the_reference_loop_on_dense_models() {
+        // Dense layers run the same kernels on both executors, so the engine
+        // trajectory must reproduce the reference one bit for bit.
+        let attack = GradientDescentAttack {
+            steps: 12,
+            step_size: 0.8,
+            num_params: 20,
+            max_change: 1.5,
+        };
+        for (activation, seed) in [(Activation::Relu, 4), (Activation::Tanh, 8)] {
+            let net = zoo::tiny_mlp(6, 16, 4, activation, seed).unwrap();
+            let pr = probes(5, 6);
+            for rng_seed in 0..6 {
+                let engine = attack
+                    .generate(&net, &pr, &mut StdRng::seed_from_u64(rng_seed))
+                    .unwrap();
+                let reference =
+                    reference_generate(&attack, &net, &pr, &mut StdRng::seed_from_u64(rng_seed));
+                assert_eq!(engine.edits, reference, "{activation:?} seed {rng_seed}");
+            }
+        }
     }
 
     #[test]

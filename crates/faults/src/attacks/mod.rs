@@ -16,10 +16,12 @@ pub use gda::GradientDescentAttack;
 pub use random_noise::RandomPerturbation;
 pub use sba::SingleBiasAttack;
 
+use dnnip_accel::ip::FloatIp;
 use dnnip_nn::Network;
 use dnnip_tensor::Tensor;
 use rand::rngs::StdRng;
 
+use crate::detection::{moves_any_prediction, predictions};
 use crate::{Perturbation, Result};
 
 /// A parameter-tampering strategy.
@@ -60,13 +62,9 @@ pub fn changes_any_prediction(
     perturbation: &Perturbation,
     probes: &[Tensor],
 ) -> Result<bool> {
-    let tampered = perturbation.apply_to_network(network)?;
-    for probe in probes {
-        if network.predict_sample(probe)? != tampered.predict_sample(probe)? {
-            return Ok(true);
-        }
-    }
-    Ok(false)
+    let clean = predictions(&FloatIp::new(network.clone()), probes)?;
+    let tampered = FloatIp::new(perturbation.apply_to_network(network)?);
+    moves_any_prediction(&tampered, probes, &clean)
 }
 
 #[cfg(test)]

@@ -4,13 +4,15 @@
 //! every downstream computation additively, a big enough change reliably causes
 //! misclassifications while touching the smallest possible number of parameters.
 
+use dnnip_accel::ip::FloatIp;
 use dnnip_nn::Network;
 use dnnip_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use super::{changes_any_prediction, Attack};
+use super::Attack;
+use crate::detection::{moves_any_prediction, predictions};
 use crate::{FaultError, ParamEdit, Perturbation, Result};
 
 /// Configuration of the single bias attack.
@@ -71,6 +73,12 @@ impl Attack for SingleBiasAttack {
         }
         bias_indices.shuffle(rng);
         let needs_probe_check = self.require_misclassification && !probes.is_empty();
+        // The clean predictions are the same for every candidate bias.
+        let clean = if needs_probe_check {
+            predictions(&FloatIp::new(network.clone()), probes)?
+        } else {
+            Vec::new()
+        };
 
         let mut fallback: Option<Perturbation> = None;
         for &index in bias_indices.iter().take(self.max_tries.max(1)) {
@@ -86,7 +94,8 @@ impl Attack for SingleBiasAttack {
             if !needs_probe_check {
                 return Ok(perturbation);
             }
-            if changes_any_prediction(network, &perturbation, probes)? {
+            let tampered = FloatIp::new(perturbation.apply_to_network(network)?);
+            if moves_any_prediction(&tampered, probes, &clean)? {
                 return Ok(perturbation);
             }
             fallback = Some(perturbation);
@@ -98,6 +107,7 @@ impl Attack for SingleBiasAttack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attacks::changes_any_prediction;
     use dnnip_nn::layers::Activation;
     use dnnip_nn::zoo;
     use rand::SeedableRng;
@@ -130,6 +140,52 @@ mod tests {
         let pr = probes(8, 6);
         let p = attack.generate(&net, &pr, &mut rng).unwrap();
         assert!(changes_any_prediction(&net, &p, &pr).unwrap());
+    }
+
+    #[test]
+    fn search_picks_the_candidate_the_public_check_picks_on_a_conv_model() {
+        // `generate` scores candidates against clean predictions computed once;
+        // the same seeded search through the public `changes_any_prediction`
+        // (which recomputes them per call) must pick the same perturbation.
+        let net = zoo::tiny_cnn(4, 3, Activation::Relu, 13).unwrap();
+        let pr: Vec<Tensor> = (0..6)
+            .map(|i| Tensor::from_fn(&[1, 8, 8], |j| ((i * 64 + j) as f32 * 0.29).sin()))
+            .collect();
+        let attack = SingleBiasAttack {
+            magnitude: 0.4,
+            max_tries: 8,
+            require_misclassification: true,
+        };
+        let mut flipped = 0;
+        for seed in 0..12 {
+            let chosen = attack
+                .generate(&net, &pr, &mut StdRng::seed_from_u64(seed))
+                .unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut indices = net.param_layout().bias_indices();
+            indices.shuffle(&mut rng);
+            let mut expected = None;
+            for &index in indices.iter().take(attack.max_tries) {
+                let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+                let candidate = Perturbation::new(
+                    vec![ParamEdit {
+                        index,
+                        new_value: net.parameter(index).unwrap() + sign * attack.magnitude,
+                    }],
+                    "sba",
+                );
+                let flips = changes_any_prediction(&net, &candidate, &pr).unwrap();
+                expected = Some(candidate);
+                if flips {
+                    flipped += 1;
+                    break;
+                }
+            }
+            assert_eq!(chosen, expected.unwrap(), "seed {seed}");
+        }
+        // The magnitude leaves some searches without a flip, so both the
+        // early return and the fallback are exercised.
+        assert!(0 < flipped && flipped < 12, "{flipped}/12 searches flipped");
     }
 
     #[test]

@@ -52,7 +52,30 @@ impl MatchPolicy {
 ///
 /// Returns an error if any test's shape is incompatible with the IP.
 pub fn golden_outputs(ip: &dyn DnnIp, tests: &[Tensor]) -> Result<Vec<Tensor>> {
-    tests.iter().map(|t| Ok(ip.infer(t)?)).collect()
+    Ok(ip.infer_batch(tests)?)
+}
+
+/// Predicted class of every probe on `ip`, from one batched inference.
+pub(crate) fn predictions(ip: &dyn DnnIp, probes: &[Tensor]) -> Result<Vec<usize>> {
+    ip.infer_batch(probes)?
+        .iter()
+        .map(|logits| Ok(logits.argmax()?))
+        .collect()
+}
+
+/// Whether `ip` predicts anything but `clean` (one class per probe) on some
+/// probe; stops at the first probe that moved.
+pub(crate) fn moves_any_prediction(
+    ip: &dyn DnnIp,
+    probes: &[Tensor],
+    clean: &[usize],
+) -> Result<bool> {
+    for (probe, &class) in probes.iter().zip(clean) {
+        if ip.predict(probe)? != class {
+            return Ok(true);
+        }
+    }
+    Ok(false)
 }
 
 /// Whether the IP under test deviates from the golden outputs on any functional
@@ -73,6 +96,8 @@ pub fn is_detected(
             reason: format!("{} tests but {} golden outputs", tests.len(), golden.len()),
         });
     }
+    // One test at a time: a tampered IP is usually exposed by an early test,
+    // and the replay stops there.
     for (test, gold) in tests.iter().zip(golden) {
         let observed = ip.infer(test)?;
         if !policy.matches(gold, &observed) {
@@ -159,6 +184,10 @@ impl DetectionReport {
 /// SBA) draw them from here, and the report's `effective` counter measures how
 /// many perturbations changed at least one probe prediction.
 ///
+/// Every model is observed through a [`FloatIp`]: one golden IP answers the
+/// golden outputs and clean probe predictions, and each trial builds one
+/// tampered IP for both its detection replay and its effectiveness check.
+///
 /// Trials are distributed over [`DetectionConfig::exec`] workers. Each trial
 /// seeds its own RNG from `(config.seed, trial index)`, so the report is
 /// bit-identical for every execution policy (pinned by
@@ -182,10 +211,7 @@ pub fn detection_rate(
     }
     let golden_ip = FloatIp::new(network.clone());
     let golden = golden_outputs(&golden_ip, tests)?;
-    let probe_predictions: Vec<usize> = probes
-        .iter()
-        .map(|p| network.predict_sample(p))
-        .collect::<std::result::Result<_, _>>()?;
+    let probe_predictions = predictions(&golden_ip, probes)?;
 
     let trial_indices: Vec<u64> = (0..config.trials as u64).collect();
     let outcomes = par::try_map(
@@ -194,15 +220,11 @@ pub fn detection_rate(
         |&trial| -> Result<(bool, bool)> {
             let mut rng = StdRng::seed_from_u64(trial_seed(config.seed, trial));
             let perturbation = attack.generate(network, probes, &mut rng)?;
-            let tampered = perturbation.apply_to_network(network)?;
-            let tampered_ip = FloatIp::new(tampered.clone());
+            // One tampered IP per trial serves both the detection replay and
+            // the effectiveness check.
+            let tampered_ip = FloatIp::new(perturbation.apply_to_network(network)?);
             let detected = is_detected(&tampered_ip, tests, &golden, config.policy)?;
-            let effective = probes.iter().zip(&probe_predictions).any(|(p, &pred)| {
-                tampered
-                    .predict_sample(p)
-                    .map(|q| q != pred)
-                    .unwrap_or(false)
-            });
+            let effective = moves_any_prediction(&tampered_ip, probes, &probe_predictions)?;
             Ok((detected, effective))
         },
     )?;

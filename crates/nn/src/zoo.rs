@@ -13,8 +13,8 @@
 //! [`mnist_model_scaled`] / [`cifar_model_scaled`]: identical layer structure and
 //! activation functions, but smaller images and channel counts so training and
 //! coverage sweeps finish in seconds. The coverage phenomena the paper reports
-//! depend on layer types and activations, not absolute parameter counts (see
-//! DESIGN.md for the substitution rationale).
+//! depend on layer types and activations, not absolute parameter counts, so the
+//! scaled variants keep both and shrink only the channel widths and image size.
 
 use crate::layers::{Activation, ActivationLayer, Conv2d, Dense, Flatten, Layer, MaxPool2d};
 use crate::{Network, Result};

@@ -2,9 +2,14 @@
 //!
 //! Two independent forward implementations of the 2-D convolution are provided:
 //! a direct 7-deep loop nest ([`conv2d_forward`]) and an im2col + matmul
-//! formulation ([`conv2d_forward_im2col`]). They are required to agree bit-for-bit
-//! on the same inputs, which gives the test suite a strong cross-check and the
-//! benchmark crate an ablation point (direct vs im2col throughput).
+//! formulation ([`conv2d_forward_im2col`]). They compute the same sums in a
+//! different order and agree up to floating-point rounding, not bit for bit:
+//! the direct loop starts each accumulator at the bias and skips padded taps,
+//! while im2col multiplies the zero-padded taps in and adds the bias after the
+//! product. The differential proptests pin agreement within an absolute 1e-3,
+//! which gives the test suite a cross-check and the benchmark crate an
+//! ablation point (direct vs im2col throughput). Each implementation on its
+//! own is bit-identical between a stacked batch and its samples one by one.
 //!
 //! All functions operate on single-precision tensors in the layouts used by
 //! `dnnip-nn`:
@@ -559,8 +564,10 @@ pub fn conv2d_forward_im2col_batch(
 
 /// 2-D convolution forward pass via im2col + matrix multiplication.
 ///
-/// Produces exactly the same output as [`conv2d_forward`]; used as a cross-check
-/// and as the faster path for wide layers.
+/// Agrees with [`conv2d_forward`] up to floating-point rounding (the bias is
+/// added after the product and padded taps are multiplied in as zeros; the
+/// differential proptests pin an absolute 1e-3); used as a cross-check and as
+/// the faster path for wide layers.
 ///
 /// # Errors
 ///
