@@ -147,8 +147,8 @@ impl QuantScale {
 /// separately) — exactly the fitting [`crate::memory::WeightMemory`] applies
 /// when building a memory image, so this network matches
 /// [`crate::ip::AcceleratorIp`]'s inference behaviour without materializing the
-/// byte image. It is the model the quantized forward path of the coverage
-/// engine evaluates against.
+/// byte image. Registered as a model of its own, it is how coverage is
+/// measured at the accelerator's deployed precision.
 ///
 /// # Errors
 ///

@@ -66,9 +66,8 @@ fn main() {
     } else {
         5
     };
-    // Hardware thread count straight from the OS — deliberately NOT
-    // `ExecPolicy::auto()`, which the DNNIP_THREADS override may redirect;
-    // oversubscription is a statement about the hardware.
+    // Hardware thread count straight from the OS: oversubscription is a
+    // statement about the hardware.
     let hardware = std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1);

@@ -16,7 +16,7 @@ pub mod detection_table;
 
 use std::sync::Arc;
 
-use dnnip_core::coverage::{CoverageConfig, EpsilonPolicy, ForwardPrecision};
+use dnnip_core::coverage::{CoverageConfig, EpsilonPolicy};
 use dnnip_core::criterion::{criterion_from_spec, CoverageCriterion, ParamGradient};
 use dnnip_core::eval::Evaluator;
 use dnnip_core::par::ExecPolicy;
@@ -232,9 +232,7 @@ fn train_robust(
 /// Every experiment binary runs the coverage analysis through the batched
 /// engine with one worker per available hardware thread; results are
 /// bit-identical to serial execution (see `tests/parallel_equivalence.rs`), so
-/// the parallel path is safe to use unconditionally. Setting `DNNIP_QUANT=1`
-/// additionally routes forward-only criteria through the int8 round-tripped
-/// network (see [`dnnip_core::coverage::ForwardPrecision`]).
+/// the parallel path is safe to use unconditionally.
 pub fn coverage_config_for(activation: Activation) -> CoverageConfig {
     let epsilon = if activation.is_saturating() {
         EpsilonPolicy::RelativeToMax(1e-2)
@@ -244,7 +242,6 @@ pub fn coverage_config_for(activation: Activation) -> CoverageConfig {
     CoverageConfig {
         epsilon,
         exec: ExecPolicy::auto(),
-        precision: ForwardPrecision::from_env(),
         ..CoverageConfig::default()
     }
 }
@@ -304,7 +301,7 @@ pub fn register_model(ws: &Workspace, model: &PreparedModel) -> NetworkFingerpri
 }
 
 /// Register `model` and mint its evaluator under the `DNNIP_CRITERION`
-/// selection — the [`Workspace`]-era replacement for [`evaluator_for`].
+/// selection.
 ///
 /// # Panics
 ///
@@ -314,25 +311,6 @@ pub fn evaluator_in(ws: &Workspace, model: &PreparedModel) -> Evaluator {
     let fingerprint = register_model(ws, model);
     ws.evaluator(fingerprint, &criterion_spec_from_env())
         .expect("valid DNNIP_CRITERION spec")
-}
-
-/// Build a standalone evaluator for one model (private caches, no registry,
-/// no persistent tier).
-///
-/// # Panics
-///
-/// Panics on a malformed `DNNIP_CRITERION` value.
-#[deprecated(
-    since = "0.1.0",
-    note = "go through a Workspace: `evaluator_in(&workspace_from_env(), model)` \
-            shares one cache budget across models and persists across processes"
-)]
-pub fn evaluator_for(model: &PreparedModel) -> Evaluator {
-    Evaluator::with_criterion(
-        &model.network,
-        model.coverage,
-        criterion_from_env(&model.coverage),
-    )
 }
 
 /// Which model family an experiment binary should run, resolved from the
@@ -363,23 +341,28 @@ impl ModelSpec {
         }
     }
 
+    /// [`ModelSpec::from_env`] on an already-read `DNNIP_MODEL` value.
+    fn resolve(value: Option<&str>) -> Self {
+        value.map_or(Self::Default, |v| {
+            Self::parse(v).unwrap_or_else(|| {
+                panic!("unknown DNNIP_MODEL {v:?} (default, residual or branching)")
+            })
+        })
+    }
+
     /// Resolve the model spec from `DNNIP_MODEL`, defaulting to
     /// [`ModelSpec::Default`] when unset.
     ///
     /// # Panics
     ///
-    /// Panics on an unknown `DNNIP_MODEL` value — a typo'd model name must not
-    /// silently run a different experiment.
+    /// Panics on an unknown or non-UTF-8 `DNNIP_MODEL` value — a typo'd model
+    /// name must not silently run a different experiment.
     pub fn from_env() -> Self {
-        match std::env::var("DNNIP_MODEL") {
-            Ok(value) => Self::parse(&value).unwrap_or_else(|| {
-                panic!("unknown DNNIP_MODEL {value:?} (default, residual or branching)")
-            }),
-            Err(std::env::VarError::NotUnicode(_)) => {
-                panic!("DNNIP_MODEL is set but not valid UTF-8")
-            }
-            Err(std::env::VarError::NotPresent) => Self::Default,
-        }
+        let value = std::env::var_os("DNNIP_MODEL").map(|v| {
+            v.into_string()
+                .expect("DNNIP_MODEL is set but not valid UTF-8")
+        });
+        Self::resolve(value.as_deref())
     }
 
     /// Name used in report headers and result JSON.
@@ -421,6 +404,11 @@ pub fn graph_pool(graph: &Graph, size: usize, seed: u64) -> Vec<Tensor> {
         .collect()
 }
 
+/// [`seed_from_env_or`] on an already-read `DNNIP_SEED` value.
+fn seed_or(value: Option<&str>, default: u64) -> u64 {
+    value.and_then(|v| v.parse().ok()).unwrap_or(default)
+}
+
 /// Resolve the experiment seed: the `DNNIP_SEED` environment variable when set
 /// to a valid `u64`, otherwise `default`.
 ///
@@ -428,10 +416,7 @@ pub fn graph_pool(graph: &Graph, size: usize, seed: u64) -> Vec<Tensor> {
 /// whole figure/table run can be repeated under a different seed (or pinned for
 /// a differential comparison) without editing code.
 pub fn seed_from_env_or(default: u64) -> u64 {
-    std::env::var("DNNIP_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    seed_or(std::env::var("DNNIP_SEED").ok().as_deref(), default)
 }
 
 /// Build and train the MNIST-style (Tanh) model for the given profile.
@@ -579,14 +564,10 @@ mod tests {
 
     #[test]
     fn seed_env_override_wins_only_when_valid() {
-        // Serialize against other tests by doing all three cases in one test.
-        std::env::remove_var("DNNIP_SEED");
-        assert_eq!(seed_from_env_or(42), 42);
-        std::env::set_var("DNNIP_SEED", "7");
-        assert_eq!(seed_from_env_or(42), 7);
-        std::env::set_var("DNNIP_SEED", "not-a-number");
-        assert_eq!(seed_from_env_or(42), 42);
-        std::env::remove_var("DNNIP_SEED");
+        assert_eq!(seed_or(None, 42), 42);
+        assert_eq!(seed_or(Some("7"), 42), 7);
+        assert_eq!(seed_or(Some("not-a-number"), 42), 42);
+        assert_eq!(seed_or(Some(""), 42), 42);
     }
 
     #[test]
@@ -623,13 +604,15 @@ mod tests {
 
     #[test]
     fn model_spec_env_override_defaults_when_unset() {
-        // Serialize set/unset cases in one test, like the seed test above.
-        if std::env::var("DNNIP_MODEL").is_err() {
-            assert_eq!(ModelSpec::from_env(), ModelSpec::Default);
-            std::env::set_var("DNNIP_MODEL", "residual");
-            assert_eq!(ModelSpec::from_env(), ModelSpec::Residual);
-            std::env::remove_var("DNNIP_MODEL");
-        }
+        assert_eq!(ModelSpec::resolve(None), ModelSpec::Default);
+        assert_eq!(ModelSpec::resolve(Some("residual")), ModelSpec::Residual);
+        assert_eq!(ModelSpec::resolve(Some("Branching")), ModelSpec::Branching);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown DNNIP_MODEL")]
+    fn model_spec_rejects_an_unknown_value() {
+        ModelSpec::resolve(Some("resnet"));
     }
 
     #[test]

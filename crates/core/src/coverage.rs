@@ -20,7 +20,6 @@
 
 use std::sync::Arc;
 
-use dnnip_accel::quant::{round_trip_network, BitWidth};
 use dnnip_nn::batch::BatchGradientEngine;
 use dnnip_nn::Network;
 use dnnip_tensor::Tensor;
@@ -72,37 +71,6 @@ pub enum OutputProjection {
 /// Default number of samples evaluated per batched forward pass.
 pub const DEFAULT_COVERAGE_BATCH: usize = 32;
 
-/// Numeric precision of the forward pass behind **forward-only** coverage
-/// criteria (the neuron criteria, which never need gradients).
-///
-/// The quantized mode evaluates those criteria against the int8 round-trip of
-/// the network's parameters — the model the simulated accelerator IP
-/// effectively runs (see `dnnip_accel::quant::round_trip_network`) — so
-/// forward-only coverage numbers reflect deployed-precision behaviour.
-/// Gradient-based criteria ([`crate::criterion::ParamGradient`]) always run in
-/// full `f32`: the paper's activation rule is defined on the float model's
-/// gradients.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ForwardPrecision {
-    /// Full `f32` precision for every criterion (the default).
-    #[default]
-    Full,
-    /// Forward-only criteria run on the int8 round-tripped parameters.
-    QuantizedInt8,
-}
-
-impl ForwardPrecision {
-    /// Read the precision from the `DNNIP_QUANT` environment variable:
-    /// `1` selects [`ForwardPrecision::QuantizedInt8`], anything else (unset
-    /// included) selects [`ForwardPrecision::Full`].
-    pub fn from_env() -> Self {
-        match std::env::var("DNNIP_QUANT") {
-            Ok(v) if v.trim() == "1" => ForwardPrecision::QuantizedInt8,
-            _ => ForwardPrecision::Full,
-        }
-    }
-}
-
 /// Configuration of the coverage analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoverageConfig {
@@ -116,9 +84,6 @@ pub struct CoverageConfig {
     /// Samples per batched forward pass (work unit handed to each worker);
     /// `0` is treated as `1`. The value never affects results, only throughput.
     pub batch_size: usize,
-    /// Forward-pass precision for forward-only criteria (see
-    /// [`ForwardPrecision`]); gradient criteria ignore it.
-    pub precision: ForwardPrecision,
 }
 
 impl Default for CoverageConfig {
@@ -128,7 +93,6 @@ impl Default for CoverageConfig {
             projection: OutputProjection::default(),
             exec: ExecPolicy::Serial,
             batch_size: DEFAULT_COVERAGE_BATCH,
-            precision: ForwardPrecision::default(),
         }
     }
 }
@@ -152,11 +116,6 @@ pub struct CoverageAnalyzer {
     /// weight matrices) and shared read-only across worker threads. Owns the
     /// network handle the analyzer evaluates.
     engine: BatchGradientEngine,
-    /// Engine over the int8 round-tripped network, built only when the config
-    /// selects [`ForwardPrecision::QuantizedInt8`] *and* the criterion is
-    /// forward-only; `None` otherwise. When present, it replaces `engine` for
-    /// covered-unit computation.
-    quant_engine: Option<BatchGradientEngine>,
 }
 
 impl CoverageAnalyzer {
@@ -181,29 +140,12 @@ impl CoverageAnalyzer {
     ) -> Self {
         let engine = BatchGradientEngine::new(network);
         let num_units = criterion.num_units(engine.network());
-        let quant_engine = (config.precision == ForwardPrecision::QuantizedInt8
-            && criterion.forward_only())
-        .then(|| {
-            let quantized = round_trip_network(engine.network(), BitWidth::Int8)
-                .expect("round-trip preserves the parameter layout");
-            BatchGradientEngine::new(quantized)
-        });
         Self {
             config,
             criterion,
             num_units,
             engine,
-            quant_engine,
         }
-    }
-
-    /// Whether covered-unit computation runs on the int8 round-tripped
-    /// network — i.e. the config asked for
-    /// [`ForwardPrecision::QuantizedInt8`] *and* the criterion is
-    /// forward-only. The [`crate::eval::Evaluator`] uses this to key its
-    /// caches so quantized results never alias full-precision ones.
-    pub fn quantized_forward(&self) -> bool {
-        self.quant_engine.is_some()
     }
 
     /// The analyzed network.
@@ -251,8 +193,7 @@ impl CoverageAnalyzer {
     /// through the criterion (a stacked forward + per-sample gradient
     /// extraction for [`ParamGradient`]; forward-only for the neuron criteria).
     fn sets_for_chunk(&self, chunk: &[Tensor]) -> Result<Vec<Bitset>> {
-        let engine = self.quant_engine.as_ref().unwrap_or(&self.engine);
-        self.criterion.covered_units(engine, chunk)
+        self.criterion.covered_units(&self.engine, chunk)
     }
 
     /// The [`CoverageConfig::batch_size`] chunking of `samples` — formed before
@@ -289,14 +230,8 @@ impl CoverageAnalyzer {
     ///
     /// Returns an error when the sample shape does not match the network input.
     pub fn activation_set_reference(&self, sample: &Tensor) -> Result<Bitset> {
-        // Under the quantized forward path the reference must evaluate the
-        // same (round-tripped) network, or the batched-vs-reference
-        // differential would compare different models.
-        let network = self
-            .quant_engine
-            .as_ref()
-            .map_or_else(|| self.network(), BatchGradientEngine::network);
-        self.criterion.covered_units_reference(network, sample)
+        self.criterion
+            .covered_units_reference(self.network(), sample)
     }
 
     /// Activation sets for a collection of inputs — the batched, multi-threaded
@@ -576,75 +511,6 @@ mod tests {
         // Reference path agrees with the batched path for every criterion.
         for (i, x) in samples.iter().enumerate() {
             assert_eq!(topk.activation_set_reference(x).unwrap(), topk_sets[i]);
-        }
-    }
-
-    #[test]
-    fn quantized_precision_applies_only_to_forward_only_criteria() {
-        use crate::criterion::NeuronActivation;
-        let net = relu_net();
-        let samples: Vec<Tensor> = (0..6).map(sample).collect();
-        let quant_cfg = CoverageConfig {
-            precision: ForwardPrecision::QuantizedInt8,
-            ..CoverageConfig::default()
-        };
-        // Gradient criterion: the flag is ignored (the paper's metric is
-        // defined on the float model), results stay bit-identical.
-        let full = CoverageAnalyzer::new(&net, CoverageConfig::default());
-        let gated = CoverageAnalyzer::new(&net, quant_cfg);
-        assert!(!full.quantized_forward());
-        assert!(!gated.quantized_forward());
-        assert_eq!(
-            full.activation_sets(&samples).unwrap(),
-            gated.activation_sets(&samples).unwrap()
-        );
-        // Forward-only criterion: the quantized engine takes over and its
-        // results are exactly those of a full-precision analyzer over the
-        // round-tripped network.
-        let criterion = Arc::new(NeuronActivation::default());
-        let quant = CoverageAnalyzer::with_criterion(&net, quant_cfg, criterion.clone());
-        assert!(quant.quantized_forward());
-        let rt = round_trip_network(&net, BitWidth::Int8).unwrap();
-        let on_rt =
-            CoverageAnalyzer::with_criterion(&rt, CoverageConfig::default(), criterion.clone());
-        assert_eq!(
-            quant.activation_sets(&samples).unwrap(),
-            on_rt.activation_sets(&samples).unwrap()
-        );
-        // The reference path evaluates the same round-tripped model, so the
-        // batched-vs-reference differential still holds under quantization.
-        for s in &samples {
-            assert_eq!(
-                quant.activation_set(s).unwrap(),
-                quant.activation_set_reference(s).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn forward_precision_env_parsing() {
-        // One test for all DNNIP_QUANT cases: env vars are process-global, so
-        // splitting these across tests would race under the parallel runner.
-        let saved = std::env::var("DNNIP_QUANT").ok();
-        std::env::set_var("DNNIP_QUANT", "1");
-        assert_eq!(
-            ForwardPrecision::from_env(),
-            ForwardPrecision::QuantizedInt8
-        );
-        std::env::set_var("DNNIP_QUANT", " 1 ");
-        assert_eq!(
-            ForwardPrecision::from_env(),
-            ForwardPrecision::QuantizedInt8
-        );
-        for off in ["", "0", "yes", "2"] {
-            std::env::set_var("DNNIP_QUANT", off);
-            assert_eq!(ForwardPrecision::from_env(), ForwardPrecision::Full);
-        }
-        std::env::remove_var("DNNIP_QUANT");
-        assert_eq!(ForwardPrecision::from_env(), ForwardPrecision::Full);
-        match saved {
-            Some(v) => std::env::set_var("DNNIP_QUANT", v),
-            None => std::env::remove_var("DNNIP_QUANT"),
         }
     }
 

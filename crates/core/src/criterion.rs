@@ -94,10 +94,7 @@ pub trait CoverageCriterion: fmt::Debug + Send + Sync {
     }
 
     /// Whether this criterion only needs forward activations (no parameter
-    /// gradients). Forward-only criteria are eligible for the quantized int8
-    /// evaluation path
-    /// ([`crate::coverage::ForwardPrecision::QuantizedInt8`]); gradient-based
-    /// criteria keep the default `false` and always run in full `f32`.
+    /// gradients). Gradient-based criteria keep the default `false`.
     fn forward_only(&self) -> bool {
         false
     }

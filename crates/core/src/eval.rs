@@ -18,7 +18,7 @@
 //!   ([`crate::criterion::criterion_digest`]), so two criteria (or two
 //!   configurations of one criterion) never alias each other's sets.
 //!
-//! The cache holds clones of the computed [`Bitset`]s under an LRU byte
+//! The cache holds the computed sets, as [`CoveredSet`]s, under an LRU byte
 //! budget, with hit/miss/eviction counters kept both globally and **per
 //! criterion**. Because covered-unit sets are bit-identical across execution
 //! policies and chunkings (pinned by `tests/parallel_equivalence.rs`), a cache
@@ -102,39 +102,11 @@ pub trait CacheValue: Clone {
         Self: Sized;
 }
 
-impl CacheValue for Bitset {
-    const KIND: u8 = 1;
-
-    fn resident_bytes(&self) -> usize {
-        self.len().div_ceil(64) * 8
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        for &word in self.words() {
-            out.extend_from_slice(&word.to_le_bytes());
-        }
-    }
-
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        let (len_bytes, rest) = bytes.split_at_checked(8)?;
-        let len = u64::from_le_bytes(len_bytes.try_into().ok()?) as usize;
-        if rest.len() != len.div_ceil(64) * 8 {
-            return None;
-        }
-        let words = rest
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect();
-        Bitset::from_words(words, len)
-    }
-}
-
 impl CacheValue for CoveredSet {
-    /// Same kind tag as the dense [`Bitset`] it supersedes: both encode a
-    /// covered-unit set, and [`CoveredSet::decode_bytes`] understands the
-    /// legacy dense payload, so segments written by earlier releases still
-    /// load.
+    /// Kind tag `1`, the tag earlier releases wrote for their dense
+    /// covered-unit payload. [`CoveredSet::decode_bytes`] still understands
+    /// that payload, so disk segments written before compression load as
+    /// covered sets.
     const KIND: u8 = 1;
 
     fn resident_bytes(&self) -> usize {
@@ -977,15 +949,7 @@ impl Evaluator {
         output_cache: Arc<ContentCache<Tensor>>,
     ) -> Self {
         let fingerprint = NetworkFingerprint::of(analyzer.network());
-        // Sets computed on the int8 round-tripped network must never alias
-        // cached full-precision sets: fold a fixed tag into the criterion key
-        // when (and only when) the analyzer takes the quantized path, so every
-        // full-precision key is exactly the plain criterion digest as before.
-        const QUANT_KEY_TAG: u64 = 0x71a0_17f8_5eed_c0de;
-        let mut criterion_key = criterion_digest(analyzer.criterion().as_ref());
-        if analyzer.quantized_forward() {
-            criterion_key ^= QUANT_KEY_TAG;
-        }
+        let criterion_key = criterion_digest(analyzer.criterion().as_ref());
         Self {
             inner: Arc::new(EvalInner {
                 analyzer,
@@ -1069,8 +1033,7 @@ impl Evaluator {
         }
     }
 
-    /// The effective cache-key criterion component: the criterion digest,
-    /// XOR-tagged when this evaluator's forward path is quantized. Two
+    /// The cache-key criterion component: the criterion digest. Two
     /// evaluators whose `(fingerprint, criterion_key)` pairs agree address
     /// identical cache entries — the grouping identity
     /// [`crate::workspace::Workspace::run_coalesced`] buckets by.
@@ -1399,34 +1362,63 @@ mod tests {
 
     #[test]
     fn quantized_forward_path_never_aliases_full_precision_cache_entries() {
-        use crate::coverage::ForwardPrecision;
+        use dnnip_accel::quant::{round_trip_network, BitWidth};
         let network = net();
-        let quant_cfg = CoverageConfig {
-            precision: ForwardPrecision::QuantizedInt8,
-            ..CoverageConfig::default()
+        let rt = round_trip_network(&network, BitWidth::Int8).unwrap();
+        let cache = Arc::new(CoveredSetCache::new(1 << 20));
+        let outputs = Arc::new(ContentCache::new(DEFAULT_OUTPUT_CACHE_BYTES));
+        let on = |n: &Network, criterion: Arc<dyn CoverageCriterion>| {
+            Evaluator::with_shared_caches(
+                CoverageAnalyzer::with_criterion(n.clone(), CoverageConfig::default(), criterion),
+                Arc::clone(&cache),
+                Arc::clone(&outputs),
+            )
         };
-        // Same criterion, different effective model → different cache keys.
-        let full = Evaluator::with_criterion(
-            &network,
-            CoverageConfig::default(),
-            Arc::new(NeuronActivation::default()),
+        // Same criterion, different effective model → different cache keys:
+        // the round trip changes the fingerprint, and the criterion component
+        // stays the plain digest, so float keys are exactly what they were.
+        let full = on(&network, Arc::new(NeuronActivation::default()));
+        let quant = on(&rt, Arc::new(NeuronActivation::default()));
+        assert_ne!(full.fingerprint(), quant.fingerprint());
+        assert_eq!(full.inner.criterion_key, quant.inner.criterion_key);
+        assert_eq!(
+            full.inner.criterion_key,
+            criterion_digest(&NeuronActivation::default())
         );
-        let quant =
-            Evaluator::with_criterion(&network, quant_cfg, Arc::new(NeuronActivation::default()));
-        assert_ne!(full.inner.criterion_key, quant.inner.criterion_key);
-        // A gradient criterion ignores the flag, so its key is unchanged and
-        // its cached sets remain shared between the two configurations.
-        let grad_full = Evaluator::new(&network, CoverageConfig::default());
-        let grad_quant = Evaluator::new(&network, quant_cfg);
+        // The same holds for the gradient criterion.
+        let grad_full = on(&network, Arc::new(ParamGradient::default()));
+        let grad_quant = on(&rt, Arc::new(ParamGradient::default()));
+        assert_ne!(grad_full.fingerprint(), grad_quant.fingerprint());
         assert_eq!(
             grad_full.inner.criterion_key,
             grad_quant.inner.criterion_key
         );
-        // End to end: both evaluators produce their own (differing) sets.
+        // End to end over one shared cache: the round-tripped model's first
+        // query is all misses (no float entry answers it), and each evaluator
+        // gets back its own network's sets.
         let pool = samples(4);
         let a = full.activation_sets(&pool).unwrap();
+        let misses_before = cache.stats().misses;
+        let hits_before = cache.stats().hits;
         let b = quant.activation_sets(&pool).unwrap();
+        assert_eq!(cache.stats().misses - misses_before, pool.len() as u64);
+        assert_eq!(cache.stats().hits, hits_before);
         assert_eq!(a.len(), b.len());
+        let fresh = |n: &Network| {
+            CoverageAnalyzer::with_criterion(
+                n.clone(),
+                CoverageConfig::default(),
+                Arc::new(NeuronActivation::default()),
+            )
+            .activation_sets(&pool)
+            .unwrap()
+        };
+        let a_want = fresh(&network);
+        let b_want = fresh(&rt);
+        for i in 0..pool.len() {
+            assert_eq!(a[i].to_bitset(), a_want[i], "float sample {i}");
+            assert_eq!(b[i].to_bitset(), b_want[i], "int8 sample {i}");
+        }
     }
 
     #[test]
@@ -1636,10 +1628,10 @@ mod tests {
         }
     }
 
-    fn one_bit_set() -> Bitset {
+    fn one_bit_set() -> CoveredSet {
         let mut set = Bitset::new(64);
         set.set(3);
-        set
+        CoveredSet::from_bitset(&set)
     }
 
     #[test]
@@ -1647,7 +1639,7 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::mpsc;
 
-        let cache: Arc<ContentCache<Bitset>> = Arc::new(ContentCache::new(1 << 20));
+        let cache: Arc<CoveredSetCache> = Arc::new(ContentCache::new(1 << 20));
         let computes = Arc::new(AtomicUsize::new(0));
         let sample = samples(1).pop().unwrap();
         // The owner signals from inside its compute closure, then blocks until
@@ -1710,7 +1702,7 @@ mod tests {
     fn failed_flight_wakes_waiter_into_its_own_compute() {
         use std::sync::mpsc;
 
-        let cache: Arc<ContentCache<Bitset>> = Arc::new(ContentCache::new(1 << 20));
+        let cache: Arc<CoveredSetCache> = Arc::new(ContentCache::new(1 << 20));
         let sample = samples(1).pop().unwrap();
         let (in_compute_tx, in_compute_rx) = mpsc::channel::<()>();
         let (proceed_tx, proceed_rx) = mpsc::channel::<()>();
@@ -1722,7 +1714,7 @@ mod tests {
                     std::slice::from_ref(&sample),
                     |_| race_key((3, 4)),
                     "race",
-                    move |_| -> Result<Vec<Bitset>> {
+                    move |_| -> Result<Vec<CoveredSet>> {
                         in_compute_tx.send(()).unwrap();
                         proceed_rx.recv().unwrap();
                         Err(CoreError::EmptyCandidatePool)

@@ -37,36 +37,6 @@ use crate::criterion::GradientObjective;
 use crate::par::{self, ExecPolicy};
 use crate::{CoreError, Result};
 
-/// Backtracking line-search configuration for the descent step size η.
-///
-/// When enabled ([`GradGenConfig::line_search`]), each descent step proposes
-/// `x' = x − η·∇x J` and accepts it only if it satisfies the Armijo
-/// sufficient-decrease condition `J(x') ≤ J(x) − c·η·‖∇x J‖²`; rejected
-/// proposals shrink η by `shrink` and retry, up to `max_backtracks` times
-/// (after which the last proposal is taken so the descent always advances).
-/// All candidate evaluations of one trial round run as **one stacked batched
-/// forward pass** over every not-yet-accepted class, so the line search rides
-/// the same amortization as the descent itself.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LineSearchConfig {
-    /// Multiplicative η shrink factor per rejected trial, in `(0, 1)`.
-    pub shrink: f32,
-    /// Maximum number of backtracking trials per sample per step.
-    pub max_backtracks: usize,
-    /// Armijo sufficient-decrease coefficient `c` (typically small).
-    pub c: f32,
-}
-
-impl Default for LineSearchConfig {
-    fn default() -> Self {
-        Self {
-            shrink: 0.5,
-            max_backtracks: 4,
-            c: 1e-4,
-        }
-    }
-}
-
 /// Configuration of the gradient-based test generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GradGenConfig {
@@ -87,10 +57,6 @@ pub struct GradGenConfig {
     /// any step runs, and per-sample work is pure, so results are identical
     /// for every policy.
     pub exec: ExecPolicy,
-    /// Optional backtracking line search on η. `None` (the default) runs the
-    /// paper's fixed-step descent bit for bit; `Some` amortizes the candidate
-    /// evaluations over the stacked per-step batch.
-    pub line_search: Option<LineSearchConfig>,
 }
 
 impl Default for GradGenConfig {
@@ -102,7 +68,6 @@ impl Default for GradGenConfig {
             clamp: Some((0.0, 1.0)),
             seed: 0,
             exec: ExecPolicy::Serial,
-            line_search: None,
         }
     }
 }
@@ -194,12 +159,6 @@ impl GradientGenerator {
         let mut states = inits;
         let mut losses = vec![f32::INFINITY; states.len()];
         let indices: Vec<usize> = (0..states.len()).collect();
-        if let Some(ls) = self.config.line_search {
-            for _ in 0..self.config.steps {
-                self.line_search_step(&ls, &mut states, &mut losses, targets, &indices)?;
-            }
-            return self.finish(states, targets, losses);
-        }
         for _ in 0..self.config.steps {
             let pass = self.engine.forward_batch(&states)?;
             let stepped: Vec<(Tensor, f32)> =
@@ -230,7 +189,13 @@ impl GradientGenerator {
                         // zero and Eq. 8 cannot make progress. Nudge the input
                         // with a small deterministic jitter (keyed by the target
                         // class) to leave the dead region.
-                        x.add_assign(&Self::dead_start_jitter(x.shape(), target))?;
+                        let jitter = Tensor::from_fn(x.shape(), |i| {
+                            let h = (i as u64)
+                                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                                .wrapping_add(target as u64 + 1);
+                            ((h % 1000) as f32 / 1000.0) * 0.05
+                        });
+                        x.add_assign(&jitter)?;
                     } else {
                         // x ← x − η ∇x J(x, y_i, θ)   (Eq. 8)
                         x.axpy(-self.config.eta, &grad)?;
@@ -245,16 +210,6 @@ impl GradientGenerator {
                 losses[s] = loss;
             }
         }
-        self.finish(states, targets, losses)
-    }
-
-    /// Wrap the final descent states into [`SyntheticTest`]s.
-    fn finish(
-        &self,
-        states: Vec<Tensor>,
-        targets: &[usize],
-        losses: Vec<f32>,
-    ) -> Result<Vec<SyntheticTest>> {
         states
             .into_iter()
             .zip(targets)
@@ -269,131 +224,6 @@ impl GradientGenerator {
                 })
             })
             .collect()
-    }
-
-    /// The deterministic dead-start jitter of the fixed-step path (keyed by
-    /// the target class), used when `∇x J` is identically zero.
-    fn dead_start_jitter(shape: &[usize], target: usize) -> Tensor {
-        Tensor::from_fn(shape, |i| {
-            let h = (i as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(target as u64 + 1);
-            ((h % 1000) as f32 / 1000.0) * 0.05
-        })
-    }
-
-    /// Loss of one candidate's logits row under the active objective.
-    fn loss_of(&self, logits: &Tensor, target: usize) -> Result<f32> {
-        Ok(match &self.objective {
-            Some(objective) => objective.loss_and_logit_grad(logits, target)?.0,
-            None => cross_entropy(logits, &[target])?.value,
-        })
-    }
-
-    /// One descent step under the backtracking line search: a single stacked
-    /// forward + per-sample gradient extraction (exactly like the fixed-step
-    /// path), then up to `max_backtracks + 1` trial rounds where every
-    /// not-yet-accepted candidate is evaluated in **one** batched forward pass
-    /// and accepted on the Armijo condition.
-    fn line_search_step(
-        &self,
-        ls: &LineSearchConfig,
-        states: &mut [Tensor],
-        losses: &mut [f32],
-        targets: &[usize],
-        indices: &[usize],
-    ) -> Result<()> {
-        let classes = self.network().num_classes();
-        let pass = self.engine.forward_batch(states)?;
-        // Per sample: (loss at the current state, ∇x J, ‖∇x J‖²). The squared
-        // norm is fixed for the whole step, so it is computed once here, not
-        // once per backtracking trial.
-        let evals: Vec<(f32, Tensor, f32)> = par::try_map(
-            self.config.exec,
-            indices,
-            |&s| -> Result<(f32, Tensor, f32)> {
-                let target = targets[s];
-                let logits = ops::row(pass.output(), s)?.reshape(&[1, classes])?;
-                let (value, grad) = match &self.objective {
-                    Some(objective) => {
-                        let (value, grad_logits) =
-                            objective.loss_and_logit_grad(&logits, target)?;
-                        (value, self.engine.input_gradient(&pass, s, &grad_logits)?)
-                    }
-                    None => {
-                        let loss = cross_entropy(&logits, &[target])?;
-                        let grad = self
-                            .engine
-                            .input_gradient(&pass, s, loss.grad_logits.data())?;
-                        (loss.value, grad)
-                    }
-                };
-                let gnorm2: f32 = grad.data().iter().map(|g| g * g).sum();
-                Ok((value, grad, gnorm2))
-            },
-        )?;
-
-        let clamp = self.config.clamp;
-        let candidate = |s: usize, eta: f32, states: &[Tensor]| -> Result<Tensor> {
-            let mut x = states[s].clone();
-            x.axpy(-eta, &evals[s].1)?;
-            if let Some((lo, hi)) = clamp {
-                x = x.clamp(lo, hi);
-            }
-            Ok(x)
-        };
-
-        let mut accepted: Vec<Option<Tensor>> = vec![None; states.len()];
-        let mut pending: Vec<usize> = Vec::new();
-        for (s, (loss_value, grad, _)) in evals.iter().enumerate() {
-            losses[s] = *loss_value;
-            if grad.max_abs() == 0.0 {
-                // Dead start: identical jitter handling to the fixed-step path.
-                let mut x = states[s].clone();
-                x.add_assign(&Self::dead_start_jitter(x.shape(), targets[s]))?;
-                if let Some((lo, hi)) = clamp {
-                    x = x.clamp(lo, hi);
-                }
-                accepted[s] = Some(x);
-            } else {
-                pending.push(s);
-            }
-        }
-
-        let mut etas = vec![self.config.eta; states.len()];
-        let mut candidates: Vec<Tensor> = pending
-            .iter()
-            .map(|&s| candidate(s, etas[s], states))
-            .collect::<Result<_>>()?;
-        for trial in 0..=ls.max_backtracks {
-            if pending.is_empty() {
-                break;
-            }
-            // One stacked forward over every not-yet-accepted candidate.
-            let cand_pass = self.engine.forward_batch(&candidates)?;
-            let mut next_pending = Vec::new();
-            let mut next_candidates = Vec::new();
-            for (k, &s) in pending.iter().enumerate() {
-                let logits = ops::row(cand_pass.output(), k)?.reshape(&[1, classes])?;
-                let cand_loss = self.loss_of(&logits, targets[s])?;
-                let gnorm2 = evals[s].2;
-                // Armijo sufficient decrease; the last trial is always taken so
-                // the descent can never stall on a hard step.
-                if cand_loss <= losses[s] - ls.c * etas[s] * gnorm2 || trial == ls.max_backtracks {
-                    accepted[s] = Some(candidates[k].clone());
-                } else {
-                    etas[s] *= ls.shrink;
-                    next_pending.push(s);
-                    next_candidates.push(candidate(s, etas[s], states)?);
-                }
-            }
-            pending = next_pending;
-            candidates = next_candidates;
-        }
-        for (s, x) in accepted.into_iter().enumerate() {
-            states[s] = x.expect("every sample accepted, jittered, or forced on the last trial");
-        }
-        Ok(())
     }
 
     /// Synthesize one sample steered towards `target_class`, starting from `init`.
@@ -635,97 +465,6 @@ mod tests {
         let c1 = analyzer.coverage_of_set(&first_inputs).unwrap();
         let c2 = analyzer.coverage_of_set(&both).unwrap();
         assert!(c2 >= c1);
-    }
-
-    #[test]
-    fn line_search_off_is_the_default_and_zero_backtracks_is_bit_identical() {
-        // `line_search: None` is the default (the fixed-step path, untouched).
-        assert_eq!(GradGenConfig::default().line_search, None);
-        // With the line search enabled but zero backtracks allowed, the full-η
-        // candidate is always taken on the forced last trial — the whole
-        // batched candidate-evaluation plumbing must then reproduce the
-        // fixed-step descent bit for bit.
-        for activation in [Activation::Relu, Activation::Tanh] {
-            let network = zoo::tiny_mlp(6, 12, 4, activation, 9).unwrap();
-            let fixed = GradGenConfig {
-                steps: 6,
-                ..GradGenConfig::default()
-            };
-            let forced = GradGenConfig {
-                line_search: Some(LineSearchConfig {
-                    max_backtracks: 0,
-                    ..LineSearchConfig::default()
-                }),
-                ..fixed
-            };
-            let a = GradientGenerator::new(&network, fixed)
-                .generate_batch()
-                .unwrap();
-            let b = GradientGenerator::new(&network, forced)
-                .generate_batch()
-                .unwrap();
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.input, y.input, "{activation:?} diverged");
-                assert_eq!(x.final_loss.to_bits(), y.final_loss.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn line_search_tames_an_overshooting_step_size() {
-        // η = 12 overshoots badly on this model. With `c = 0` every accepted
-        // trial satisfies J(x') ≤ J(x), and with 20 backtracks a forced
-        // accept moves by a vanishing η — so the end-state loss can never
-        // climb above the start, no matter how hostile the base step size.
-        let network = net();
-        let searched = GradGenConfig {
-            eta: 12.0,
-            steps: 12,
-            clamp: None,
-            line_search: Some(LineSearchConfig {
-                c: 0.0,
-                max_backtracks: 20,
-                ..LineSearchConfig::default()
-            }),
-            ..GradGenConfig::default()
-        };
-        let loss_at = |x: &Tensor, target: usize| {
-            let out = network.forward(&network.batch_one(x).unwrap()).unwrap();
-            cross_entropy(&out, &[target]).unwrap().value
-        };
-        let generator = GradientGenerator::new(&network, searched);
-        for target in 0..4 {
-            let zero = Tensor::zeros(&[6]);
-            let start_loss = loss_at(&zero, target);
-            let result = generator.synthesize(&zero, target).unwrap();
-            let end_loss = loss_at(&result.input, target);
-            assert!(
-                end_loss <= start_loss + 0.05,
-                "class {target}: loss climbed {start_loss} -> {end_loss} despite backtracking"
-            );
-            assert!(!result.input.has_non_finite());
-        }
-    }
-
-    #[test]
-    fn line_search_synthesize_matches_its_own_stacked_batch() {
-        // Batch-of-one and stacked descents stay bit-identical with the line
-        // search on (candidate evaluation is per-sample arithmetic too).
-        let network = net();
-        let config = GradGenConfig {
-            steps: 5,
-            line_search: Some(LineSearchConfig::default()),
-            ..GradGenConfig::default()
-        };
-        let mut batched = GradientGenerator::new(&network, config);
-        let batch = batched.generate_batch().unwrap();
-        let single = GradientGenerator::new(&network, config);
-        for t in &batch {
-            let reference = single
-                .synthesize(&Tensor::zeros(&[6]), t.target_class)
-                .unwrap();
-            assert_eq!(t.input, reference.input, "class {}", t.target_class);
-        }
     }
 
     #[test]

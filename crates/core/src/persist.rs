@@ -629,6 +629,41 @@ fn parse_segment(bytes: &[u8]) -> Vec<SegRecord> {
 mod tests {
     use super::*;
     use crate::bitset::Bitset;
+    use crate::covered::CoveredSet;
+
+    /// A covered-unit set in the historical dense payload: unit count, then
+    /// the raw bitset words. Earlier releases wrote every covered set this
+    /// way under the covered-set kind tag.
+    #[derive(Debug, Clone, PartialEq)]
+    struct LegacyDense(Bitset);
+
+    impl CacheValue for LegacyDense {
+        const KIND: u8 = <CoveredSet as CacheValue>::KIND;
+
+        fn resident_bytes(&self) -> usize {
+            self.0.words().len() * 8
+        }
+
+        fn encode(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&(self.0.len() as u64).to_le_bytes());
+            for &word in self.0.words() {
+                out.extend_from_slice(&word.to_le_bytes());
+            }
+        }
+
+        fn decode(bytes: &[u8]) -> Option<Self> {
+            let (len_bytes, rest) = bytes.split_at_checked(8)?;
+            let len = u64::from_le_bytes(len_bytes.try_into().ok()?) as usize;
+            if rest.len() != len.div_ceil(64) * 8 {
+                return None;
+            }
+            let words = rest
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+                .collect();
+            Bitset::from_words(words, len).map(LegacyDense)
+        }
+    }
 
     fn key(seed: u64) -> CacheKey {
         CacheKey {
@@ -647,6 +682,10 @@ mod tests {
             b.set(i);
         }
         b
+    }
+
+    fn covered(bits: &[usize], len: usize) -> CoveredSet {
+        CoveredSet::from_bitset_compressed(&set(bits, len))
     }
 
     fn temp_root(tag: &str) -> PathBuf {
@@ -674,10 +713,10 @@ mod tests {
     fn round_trips_batches_through_one_segment() {
         let root = temp_root("roundtrip");
         let tier = DiskTier::new(&root);
-        let values: Vec<Bitset> = (0..5).map(|i| set(&[i, i + 64], 130)).collect();
-        assert!(tier.load::<Bitset>(&key(1)).is_none(), "empty tier hit");
+        let values: Vec<CoveredSet> = (0..5).map(|i| covered(&[i, i + 64], 130)).collect();
+        assert!(tier.load::<CoveredSet>(&key(1)).is_none(), "empty tier hit");
         // Five entries sharing one (model, criterion) → ONE segment file.
-        let batch: Vec<(CacheKey, &Bitset)> = values
+        let batch: Vec<(CacheKey, &CoveredSet)> = values
             .iter()
             .enumerate()
             .map(|(i, v)| {
@@ -692,10 +731,10 @@ mod tests {
         // every entry from the scanned segment.
         let second = DiskTier::new(&root);
         for (k, v) in &batch {
-            assert_eq!(second.load::<Bitset>(k).as_ref(), Some(*v));
+            assert_eq!(second.load::<CoveredSet>(k).as_ref(), Some(*v));
         }
         // A different key component misses even with the same sample hash.
-        assert!(second.load::<Bitset>(&key(2)).is_none());
+        assert!(second.load::<CoveredSet>(&key(2)).is_none());
         let stats = second.stats();
         assert_eq!(stats.hits, 5);
         assert_eq!(stats.misses, 1);
@@ -710,9 +749,9 @@ mod tests {
     fn wrong_kind_reads_as_a_miss() {
         let root = temp_root("kind");
         let tier = DiskTier::new(&root);
-        let value = set(&[2], 64);
+        let value = covered(&[2], 64);
         tier.store_batch(&[(key(4), &value)]);
-        assert_eq!(tier.load::<Bitset>(&key(4)), Some(value));
+        assert_eq!(tier.load::<CoveredSet>(&key(4)), Some(value));
         // The same bytes must not decode as a tensor payload.
         assert!(tier.load::<dnnip_tensor::Tensor>(&key(4)).is_none());
         let _ = std::fs::remove_dir_all(&root);
@@ -722,7 +761,7 @@ mod tests {
     fn corruption_degrades_to_a_miss() {
         let root = temp_root("corrupt");
         let tier = DiskTier::new(&root);
-        let value = set(&[3, 77], 200);
+        let value = covered(&[3, 77], 200);
         tier.store_batch(&[(key(9), &value)]);
         let path = only_segment(&root);
         let pristine = std::fs::read(&path).unwrap();
@@ -730,7 +769,7 @@ mod tests {
         // Truncated below the first record: a fresh tier sees nothing.
         std::fs::write(&path, &pristine[..SEG_HEADER_BYTES + 4]).unwrap();
         assert!(
-            DiskTier::new(&root).load::<Bitset>(&key(9)).is_none(),
+            DiskTier::new(&root).load::<CoveredSet>(&key(9)).is_none(),
             "truncated segment hit"
         );
         // Flipped payload byte (record checksum catches it).
@@ -739,7 +778,7 @@ mod tests {
         flipped[last] ^= 0x40;
         std::fs::write(&path, &flipped).unwrap();
         assert!(
-            DiskTier::new(&root).load::<Bitset>(&key(9)).is_none(),
+            DiskTier::new(&root).load::<CoveredSet>(&key(9)).is_none(),
             "bad checksum hit"
         );
         // Wrong version: the whole segment is ignored.
@@ -747,19 +786,20 @@ mod tests {
         versioned[8] ^= 0xFF;
         std::fs::write(&path, &versioned).unwrap();
         assert!(
-            DiskTier::new(&root).load::<Bitset>(&key(9)).is_none(),
+            DiskTier::new(&root).load::<CoveredSet>(&key(9)).is_none(),
             "bad version hit"
         );
         // Restoring the pristine bytes restores the hit.
         std::fs::write(&path, &pristine).unwrap();
-        assert_eq!(DiskTier::new(&root).load::<Bitset>(&key(9)), Some(value));
+        assert_eq!(
+            DiskTier::new(&root).load::<CoveredSet>(&key(9)),
+            Some(value)
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn compressed_covered_sets_round_trip_through_segments() {
-        use crate::covered::CoveredSet;
-
         let root = temp_root("covered");
         let tier = DiskTier::new(&root);
         // Mixed block forms: sparse, dense-ish and a full run, over a length
@@ -798,13 +838,11 @@ mod tests {
 
     #[test]
     fn legacy_dense_segments_load_as_covered_sets() {
-        use crate::covered::CoveredSet;
-
         let root = temp_root("legacy");
         let tier = DiskTier::new(&root);
         // A segment written with the historical dense `Bitset` encoding...
         let dense = set(&[0, 64, 129, 199], 200);
-        tier.store_batch(&[(key(11), &dense)]);
+        tier.store_batch(&[(key(11), &LegacyDense(dense.clone()))]);
         // ...is readable as a compressed `CoveredSet` (same KIND, and the
         // decoder understands the legacy payload), bit for bit.
         let second = DiskTier::new(&root);
@@ -821,7 +859,7 @@ mod tests {
         let third = DiskTier::new(&root);
         assert_eq!(third.load::<CoveredSet>(&k).as_ref(), Some(&sparse));
         assert!(
-            third.load::<Bitset>(&k).is_none(),
+            third.load::<LegacyDense>(&k).is_none(),
             "new payload, old reader"
         );
         let _ = std::fs::remove_dir_all(&root);
@@ -829,8 +867,6 @@ mod tests {
 
     #[test]
     fn corrupt_compressed_payload_degrades_to_a_miss() {
-        use crate::covered::CoveredSet;
-
         let root = temp_root("covered-corrupt");
         let tier = DiskTier::new(&root);
         let value = CoveredSet::from_bitset_compressed(&set(&[9, 4100], 8000));
@@ -858,7 +894,7 @@ mod tests {
     #[test]
     fn byte_budget_evicts_least_recently_accessed_segments() {
         let root = temp_root("budget");
-        let value = set(&[1, 2, 3], 256);
+        let value = covered(&[1, 2, 3], 256);
         let mut payload = Vec::new();
         value.encode(&mut payload);
         let segment_bytes = (SEG_HEADER_BYTES + RECORD_HEADER_BYTES + payload.len()) as u64;
@@ -869,14 +905,14 @@ mod tests {
         assert_eq!(tier.stats().evictions, 0);
         assert_eq!(tier.stats().resident_bytes, 2 * segment_bytes);
         // Touch key 1 so key 2 becomes the eviction victim.
-        assert!(tier.load::<Bitset>(&key(1)).is_some());
+        assert!(tier.load::<CoveredSet>(&key(1)).is_some());
         tier.store_batch(&[(key(3), &value)]);
         let stats = tier.stats();
         assert_eq!(stats.evictions, 1);
         assert!(stats.resident_bytes <= 2 * segment_bytes);
-        assert!(tier.load::<Bitset>(&key(1)).is_some(), "recently used");
-        assert!(tier.load::<Bitset>(&key(3)).is_some(), "just written");
-        assert!(tier.load::<Bitset>(&key(2)).is_none(), "evicted");
+        assert!(tier.load::<CoveredSet>(&key(1)).is_some(), "recently used");
+        assert!(tier.load::<CoveredSet>(&key(3)).is_some(), "just written");
+        assert!(tier.load::<CoveredSet>(&key(2)).is_none(), "evicted");
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -885,7 +921,7 @@ mod tests {
         let root = temp_root("prewalk");
         // Process 1 (no budget) writes two segments.
         let writer = DiskTier::new(&root);
-        let value = set(&[0, 100], 128);
+        let value = covered(&[0, 100], 128);
         writer.store_batch(&[(key(1), &value)]);
         writer.store_batch(&[(key(2), &value)]);
         // Process 2 arrives with a budget of ~one segment: its first write
@@ -898,7 +934,10 @@ mod tests {
         let stats = tier.stats();
         assert!(stats.evictions >= 2, "evictions: {}", stats.evictions);
         assert!(stats.resident_bytes <= segment_bytes + 8);
-        assert!(tier.load::<Bitset>(&key(3)).is_some(), "newest survives");
+        assert!(
+            tier.load::<CoveredSet>(&key(3)).is_some(),
+            "newest survives"
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -906,7 +945,7 @@ mod tests {
     fn vacuum_removes_only_unknown_fingerprint_directories() {
         let root = temp_root("vacuum");
         let tier = DiskTier::new(&root);
-        let value = set(&[5], 64);
+        let value = covered(&[5], 64);
         let known = key(7);
         let unknown = key(8);
         tier.store_batch(&[(known, &value)]);
@@ -921,8 +960,14 @@ mod tests {
         assert_eq!(report.removed_models, 1);
         assert_eq!(report.removed_files, 1);
         assert!(report.removed_bytes > 0);
-        assert!(tier.load::<Bitset>(&known).is_some(), "kept model intact");
-        assert!(tier.load::<Bitset>(&unknown).is_none(), "unknown removed");
+        assert!(
+            tier.load::<CoveredSet>(&known).is_some(),
+            "kept model intact"
+        );
+        assert!(
+            tier.load::<CoveredSet>(&unknown).is_none(),
+            "unknown removed"
+        );
         assert!(foreign.join("keep.txt").exists(), "foreign files survive");
         // Idempotent: nothing left to remove.
         assert_eq!(tier.vacuum(&keep), VacuumStats::default());

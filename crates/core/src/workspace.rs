@@ -902,8 +902,8 @@ impl Workspace {
         let mut stats = CoalesceStats::default();
         if self.set_cache.max_bytes() > 0 && requests.len() > 1 {
             // Bucket request slots by the exact cache identity their
-            // covered-unit sets live under (fingerprint × criterion digest,
-            // quant-tagged) — the evaluator's own key derivation, so two
+            // covered-unit sets live under (fingerprint × criterion digest)
+            // — the evaluator's own key derivation, so two
             // requests share a bucket iff they share cache entries. Requests
             // whose evaluator cannot be resolved are skipped here and report
             // their error from `run` below.

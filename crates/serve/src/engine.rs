@@ -501,7 +501,7 @@ fn worker_loop(
 /// queue (same trip point and message as the sequential path), resolve the
 /// rest into workspace requests, and issue **one** grouped
 /// [`Workspace::run_coalesced`] call — which buckets by (model fingerprint ×
-/// criterion digest × quant mode) internally and dedupes candidate tensors
+/// criterion digest) internally and dedupes candidate tensors
 /// across each bucket's pools.
 fn process_batch(state: &Arc<ServiceState>, jobs: Vec<Job>) {
     let mut runnable: Vec<Job> = Vec::with_capacity(jobs.len());

@@ -37,21 +37,9 @@ pub enum ExecPolicy {
 
 impl ExecPolicy {
     /// One worker per available hardware thread (as reported by
-    /// [`std::thread::available_parallelism`]; falls back to 1), unless the
-    /// `DNNIP_THREADS` environment variable overrides the count.
-    ///
-    /// `DNNIP_THREADS` must parse as a positive integer; anything else
-    /// (unset, empty, `0`, garbage) falls back to the hardware count. This is
-    /// the one place the override is honored, so every `auto()`-configured
-    /// stage across the workspace responds to it uniformly.
+    /// [`std::thread::available_parallelism`]; falls back to 1). Callers that
+    /// want a specific count pass [`ExecPolicy::Threads`] instead.
     pub fn auto() -> Self {
-        if let Some(n) = std::env::var("DNNIP_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-        {
-            return ExecPolicy::Threads(n);
-        }
         ExecPolicy::Threads(
             thread::available_parallelism()
                 .map(NonZeroUsize::get)
@@ -164,29 +152,6 @@ mod tests {
         assert_eq!(ExecPolicy::Threads(4).threads(), 4);
         assert!(ExecPolicy::auto().threads() >= 1);
         assert_eq!(ExecPolicy::default(), ExecPolicy::Serial);
-    }
-
-    #[test]
-    fn auto_honors_the_thread_env_override() {
-        // All DNNIP_THREADS cases in one test: env vars are process-global, so
-        // splitting these across tests would race under the parallel runner.
-        let saved = std::env::var("DNNIP_THREADS").ok();
-        std::env::set_var("DNNIP_THREADS", " 3 ");
-        assert_eq!(ExecPolicy::auto(), ExecPolicy::Threads(3));
-        for garbage in ["", "0", "-2", "many", "2.5"] {
-            std::env::set_var("DNNIP_THREADS", garbage);
-            assert!(
-                ExecPolicy::auto().threads() >= 1,
-                "fallback for {garbage:?}"
-            );
-            assert_ne!(ExecPolicy::auto(), ExecPolicy::Threads(0));
-        }
-        std::env::remove_var("DNNIP_THREADS");
-        assert!(ExecPolicy::auto().threads() >= 1);
-        match saved {
-            Some(v) => std::env::set_var("DNNIP_THREADS", v),
-            None => std::env::remove_var("DNNIP_THREADS"),
-        }
     }
 
     #[test]

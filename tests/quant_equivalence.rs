@@ -1,27 +1,28 @@
-//! Differential harness for the quantized int8 forward path
-//! (`ForwardPrecision::QuantizedInt8`, opt-in via `DNNIP_QUANT=1` in the
-//! experiment binaries).
+//! Coverage at deployed (int8) precision.
 //!
-//! Pins four contracts across MLP and CNN zoo models:
+//! The simulated accelerator runs the int8 round trip of a model's parameters
+//! (`round_trip_network`, the same per-segment fitting `WeightMemory` and
+//! `AcceleratorIp` apply). Coverage of that deployed model is measured by
+//! registering the round-tripped network as a model of its own: its own
+//! fingerprint keeps its cache entries apart from the float model's, so both
+//! can share one workspace cache.
 //!
-//! 1. **Off by default, bit for bit.** `ForwardPrecision::Full` (the default)
-//!    produces exactly the sets the pre-quantization pipeline produced, for
-//!    every criterion.
-//! 2. **Gradient criteria never quantize.** The paper's parameter-gradient
-//!    metric is defined on the float model; the flag must be a no-op for it.
-//! 3. **The quantized path evaluates the accelerator's model.** Forward-only
-//!    criteria under `QuantizedInt8` must agree bit-for-bit with a
-//!    full-precision analyzer over `round_trip_network` — the same
-//!    per-segment fitting `WeightMemory`/`AcceleratorIp` applies.
-//! 4. **Bounded drift.** Coverage fractions under quantization stay valid and
-//!    close to the full-precision fractions on well-conditioned models.
+//! Pins three contracts across MLP and CNN zoo models:
+//!
+//! 1. **The registered model is the accelerator's model.** Forward-only
+//!    criteria on the registered round-tripped model agree bit-for-bit with
+//!    a standalone analyzer over `round_trip_network` and with the per-sample
+//!    reference.
+//! 2. **Bounded drift.** Coverage fractions on the round-tripped model stay
+//!    valid and close to the float model's on well-conditioned models.
+//! 3. **No aliasing in a shared cache.** Float and int8 models registered in
+//!    one workspace have distinct fingerprints; warm re-queries are cache hits
+//!    that return each model's own sets.
 
-use dnnip::accel::quant::{round_trip_network, BitWidth};
-use dnnip::core::coverage::{CoverageAnalyzer, CoverageConfig, ForwardPrecision};
+use dnnip::accel::quant::round_trip_network;
 use dnnip::core::criterion::builtin_criteria;
-use dnnip::core::eval::Evaluator;
 use dnnip::dataset::digits::{synthetic_mnist, DigitConfig};
-use dnnip::nn::zoo;
+use dnnip::nn::fingerprint::NetworkFingerprint;
 use dnnip::prelude::*;
 
 fn zoo_networks() -> Vec<(&'static str, Network)> {
@@ -56,80 +57,50 @@ fn seeded_inputs(net: &Network, n: usize, seed: u64) -> Vec<Tensor> {
     }
 }
 
-fn quant_config() -> CoverageConfig {
-    CoverageConfig {
-        precision: ForwardPrecision::QuantizedInt8,
-        ..CoverageConfig::default()
-    }
-}
-
-#[test]
-fn full_precision_default_is_unchanged_for_every_criterion() {
-    for (name, net) in zoo_networks() {
-        let pool = seeded_inputs(&net, 8, 3);
-        for criterion in builtin_criteria(&CoverageConfig::default()) {
-            let default_cfg =
-                Evaluator::with_criterion(&net, CoverageConfig::default(), criterion.clone());
-            let explicit_full = Evaluator::with_criterion(
-                &net,
-                CoverageConfig {
-                    precision: ForwardPrecision::Full,
-                    ..CoverageConfig::default()
-                },
-                criterion.clone(),
-            );
-            assert!(!default_cfg.analyzer().quantized_forward());
-            assert_eq!(
-                default_cfg.activation_sets(&pool).unwrap(),
-                explicit_full.activation_sets(&pool).unwrap(),
-                "{name}/{}",
-                criterion.id()
-            );
-        }
-    }
-}
-
-#[test]
-fn gradient_criteria_ignore_the_quantization_flag() {
-    for (name, net) in zoo_networks() {
-        let pool = seeded_inputs(&net, 8, 7);
-        let full = Evaluator::new(&net, CoverageConfig::default());
-        let flagged = Evaluator::new(&net, quant_config());
-        assert!(
-            !flagged.analyzer().quantized_forward(),
-            "{name}: gradient criterion must not take the quantized path"
-        );
-        assert_eq!(
-            full.activation_sets(&pool).unwrap(),
-            flagged.activation_sets(&pool).unwrap(),
-            "{name}: flag changed param-gradient sets"
-        );
-    }
+/// A workspace holding `net` and its int8 round trip as two models, plus the
+/// round-tripped network and both fingerprints.
+fn float_and_int8(
+    name: &str,
+    net: &Network,
+) -> (Workspace, Network, NetworkFingerprint, NetworkFingerprint) {
+    let rt = round_trip_network(net, BitWidth::Int8).unwrap();
+    let ws = Workspace::new();
+    let full = ws.register(name, net.clone(), CoverageConfig::default());
+    let int8 = ws.register(
+        format!("{name}-int8"),
+        rt.clone(),
+        CoverageConfig::default(),
+    );
+    (ws, rt, full, int8)
 }
 
 #[test]
 fn quantized_forward_only_criteria_evaluate_the_round_tripped_network() {
     for (name, net) in zoo_networks() {
         let pool = seeded_inputs(&net, 8, 11);
-        let rt = round_trip_network(&net, BitWidth::Int8).unwrap();
+        let (ws, rt, _, int8) = float_and_int8(name, &net);
         for criterion in builtin_criteria(&CoverageConfig::default()) {
             if !criterion.forward_only() {
                 continue;
             }
-            let quant = CoverageAnalyzer::with_criterion(&net, quant_config(), criterion.clone());
-            assert!(quant.quantized_forward(), "{name}/{}", criterion.id());
-            let on_rt =
+            let id = criterion.id();
+            let spec = CriterionSpec::Instance(criterion.clone());
+            let got = ws
+                .evaluator(int8, &spec)
+                .unwrap()
+                .activation_sets(&pool)
+                .unwrap();
+            let standalone =
                 CoverageAnalyzer::with_criterion(&rt, CoverageConfig::default(), criterion.clone());
-            let a = quant.activation_sets(&pool).unwrap();
-            let b = on_rt.activation_sets(&pool).unwrap();
-            assert_eq!(a, b, "{name}/{}", criterion.id());
-            // Batched-vs-reference differential holds on the quantized model.
-            for (i, x) in pool.iter().enumerate() {
+            let expected = standalone.activation_sets(&pool).unwrap();
+            assert_eq!(got.len(), expected.len(), "{name}/{id}");
+            for (i, (got, want)) in got.iter().zip(&expected).enumerate() {
+                assert_eq!(&got.to_bitset(), want, "{name}/{id} sample {i}");
+                // Batched-vs-reference differential holds on the int8 model.
                 assert_eq!(
-                    quant.activation_set_reference(x).unwrap(),
-                    a[i],
-                    "{name}/{} sample {i}",
-                    criterion.id()
+                    &standalone.activation_set_reference(&pool[i]).unwrap(),
+                    want,
+                    "{name}/{id} reference, sample {i}"
                 );
             }
         }
@@ -140,26 +111,30 @@ fn quantized_forward_only_criteria_evaluate_the_round_tripped_network() {
 fn quantized_coverage_drift_is_bounded() {
     for (name, net) in zoo_networks() {
         let pool = seeded_inputs(&net, 12, 13);
+        let (ws, _, full, int8) = float_and_int8(name, &net);
         for criterion in builtin_criteria(&CoverageConfig::default()) {
             if !criterion.forward_only() {
                 continue;
             }
-            let full = CoverageAnalyzer::with_criterion(
-                &net,
-                CoverageConfig::default(),
-                criterion.clone(),
-            );
-            let quant = CoverageAnalyzer::with_criterion(&net, quant_config(), criterion.clone());
-            let c_full = full.coverage_of_set(&pool).unwrap();
-            let c_quant = quant.coverage_of_set(&pool).unwrap();
-            assert!((0.0..=1.0).contains(&c_quant), "{name}/{}", criterion.id());
-            // Int8 round-trips move each parameter by at most half a step of
+            let id = criterion.id();
+            let spec = CriterionSpec::Instance(criterion.clone());
+            let c_full = ws
+                .evaluator(full, &spec)
+                .unwrap()
+                .coverage_of_set(&pool)
+                .unwrap();
+            let c_int8 = ws
+                .evaluator(int8, &spec)
+                .unwrap()
+                .coverage_of_set(&pool)
+                .unwrap();
+            assert!((0.0..=1.0).contains(&c_int8), "{name}/{id}");
+            // Int8 round trips move each parameter by at most half a step of
             // its segment; on these well-conditioned zoo models the covered
             // fraction cannot swing wildly.
             assert!(
-                (c_full - c_quant).abs() <= 0.25,
-                "{name}/{}: full {c_full} vs quant {c_quant}",
-                criterion.id()
+                (c_full - c_int8).abs() <= 0.25,
+                "{name}/{id}: float {c_full} vs int8 {c_int8}"
             );
         }
     }
@@ -167,30 +142,41 @@ fn quantized_coverage_drift_is_bounded() {
 
 #[test]
 fn quantized_and_full_evaluators_share_a_cache_without_aliasing() {
-    let (_, net) = zoo_networks().remove(2);
-    let pool = seeded_inputs(&net, 6, 17);
-    for criterion in builtin_criteria(&CoverageConfig::default()) {
-        if !criterion.forward_only() {
-            continue;
+    // Models on which int8 rounding must visibly change the sets.
+    let must_differ = ["tiny_cnn_relu"];
+    for (name, net) in zoo_networks() {
+        let pool = seeded_inputs(&net, 6, 17);
+        let (ws, _, full, int8) = float_and_int8(name, &net);
+        assert_ne!(full, int8, "{name}: round trip kept the fingerprint");
+        for criterion in builtin_criteria(&CoverageConfig::default()) {
+            if !criterion.forward_only() {
+                continue;
+            }
+            let id = criterion.id();
+            let spec = CriterionSpec::Instance(criterion.clone());
+            let on_full = ws.evaluator(full, &spec).unwrap();
+            let on_int8 = ws.evaluator(int8, &spec).unwrap();
+            // Warm both models, then re-query: each must keep returning its
+            // own sets even though both saw the same samples, and the
+            // re-queries must be served from the shared cache.
+            let a1 = on_full.activation_sets(&pool).unwrap();
+            let b1 = on_int8.activation_sets(&pool).unwrap();
+            let hits_before = ws.cache_stats().hits;
+            let a2 = on_full.activation_sets(&pool).unwrap();
+            let b2 = on_int8.activation_sets(&pool).unwrap();
+            assert_eq!(a1, a2, "{name}/{id}: float model re-query");
+            assert_eq!(b1, b2, "{name}/{id}: int8 model re-query");
+            assert_eq!(
+                ws.cache_stats().hits - hits_before,
+                2 * pool.len() as u64,
+                "{name}/{id}: re-queries were not served from the cache"
+            );
+            // On a real CNN the int8 sets are computed on a different model;
+            // equality would mean the entries aliased or the round trip was a
+            // no-op.
+            if must_differ.contains(&name) {
+                assert_ne!(a1, b1, "{name}/{id}: int8 sets alias the float sets");
+            }
         }
-        let full = Evaluator::with_criterion(&net, CoverageConfig::default(), criterion.clone());
-        let quant = Evaluator::with_criterion(&net, quant_config(), criterion.clone());
-        // Warm both caches, then re-query: each evaluator must keep returning
-        // its own sets even though both saw the same samples and network.
-        let a1 = full.activation_sets(&pool).unwrap();
-        let b1 = quant.activation_sets(&pool).unwrap();
-        let a2 = full.activation_sets(&pool).unwrap();
-        let b2 = quant.activation_sets(&pool).unwrap();
-        assert_eq!(a1, a2, "{}", criterion.id());
-        assert_eq!(b1, b2, "{}", criterion.id());
-        // And the quantized sets are genuinely computed on a different model
-        // (equality would mean the cache key collided back to full precision
-        // or the round-trip was a no-op — both wrong for a real CNN).
-        assert_ne!(
-            a1,
-            b1,
-            "{}: quantized sets alias full-precision sets",
-            criterion.id()
-        );
     }
 }
